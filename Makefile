@@ -5,11 +5,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-props test-backends test-migration test-checkpoints test-barriers test-obs bench-smoke bench-core bench soak trace example clean
+.PHONY: test test-props test-backends test-migration test-checkpoints test-obs bench-smoke bench-core bench soak trace example clean
 
 ## Narrows the benchmark's execution-backend sweep, e.g.:
 ##   make bench BACKEND=process
-##   make bench-smoke BACKEND=serial,thread
 BACKEND ?=
 
 ## Tier-1: the full unit/integration suite (fails fast, quiet).
@@ -22,10 +21,10 @@ test-props:
 
 ## The cross-backend equivalence harness and backend determinism sweep alone.
 test-backends:
-	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/properties/test_backend_determinism.py -q
+	$(PYTHON) -m pytest tests/cluster/test_backend_equivalence.py tests/cluster/test_epoch_scheduler.py tests/properties/test_backend_determinism.py -q
 
 ## The migration equivalence suite alone: placement invariance across
-## {static, manual plan, threshold policy} x {serial, thread, process},
+## {static, manual plan, threshold policy} x {serial, process},
 ## plus the arbitrary-barrier ShardSnapshot round trips migration rests on.
 test-migration:
 	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
@@ -36,14 +35,6 @@ test-migration:
 ## included), the replay-log/retirement bounded-growth regressions.
 test-checkpoints:
 	$(PYTHON) -m pytest tests/cluster/test_checkpoints.py -q
-
-## The sparse-barrier suite alone: the deterministic schedule contracts
-## (recorded skips/run-ahead, dense fallbacks at pauses and migration moves,
-## hash exclusion vs payload comparison, the configuration surface) plus the
-## hypothesis sweep pinning sparse ≡ dense fingerprints across seeds x
-## backends x epoch policies, mid-run migration included.
-test-barriers:
-	$(PYTHON) -m pytest tests/cluster/test_sparse_barriers.py tests/properties/test_sparse_barrier_properties.py -q
 
 ## A fast sanity pass over the cluster benchmark (shrunken grid and load).
 bench-smoke:

@@ -22,12 +22,13 @@ This package deploys that observation:
   :class:`RetirementCertificate` and the per-source-shard
   :class:`CompactionGate` retires the fully-acknowledged outbound records,
   keeping long-running ledgers compact.
-* :mod:`repro.cluster.backends` — the parallel execution backends:
-  :class:`SerialBackend`, :class:`ThreadBackend` and
-  :class:`ProcessPoolBackend` advance per-shard simulators between the
-  :class:`EpochScheduler`'s deterministic settlement barriers — spaced by an
-  :class:`EpochPolicy` (fixed grid or volume-adaptive) — with bit-identical
-  results across all three.
+* :mod:`repro.cluster.backends` — the execution backends: the
+  :class:`SerialBackend` reference and the :class:`ProcessPoolBackend`
+  advance per-shard simulators between the :class:`EpochScheduler`'s
+  deterministic settlement barriers — every shard at every barrier, spaced
+  by an :class:`EpochPolicy` (fixed grid, volume-adaptive or
+  latency-target) — with bit-identical results on both; a worker that dies
+  mid-run raises :class:`WorkerLost`.
 * :mod:`repro.cluster.system` — :class:`ClusterSystem`, the façade that
   routes, drives, settles and audits the whole cluster.
 * :mod:`repro.cluster.result` — :class:`ClusterResult` /
@@ -76,7 +77,7 @@ from repro.cluster.backends import (
     LatencyTargetEpochPolicy,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
+    WorkerLost,
     make_backend,
 )
 from repro.cluster.system import ClusterSystem
@@ -109,8 +110,8 @@ __all__ = [
     "SerialBackend",
     "ShardSnapshot",
     "ShardSpec",
-    "ThreadBackend",
     "ValidationEvent",
+    "WorkerLost",
     "make_backend",
     "Route",
     "SettlementAck",

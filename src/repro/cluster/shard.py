@@ -114,13 +114,6 @@ class AdvanceReport:
     next_event_time: Optional[float] = None
     processed_events: int = 0
     now: float = 0.0
-    # Timestamps of the events this advance executed past the requesting
-    # barrier (sparse mode only; empty under dense pacing).  The sparse
-    # scheduler replays these as the shard's *virtual* next-event times at
-    # the barriers the shard skipped.  Appended last: the pipe codec encodes
-    # fields in declaration order, so the wire format of every pre-existing
-    # field is untouched.
-    event_times: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -380,10 +373,7 @@ class Shard:
         return collect
 
     def advance(
-        self,
-        horizon: Optional[float],
-        max_events: Optional[int] = None,
-        collect_times_after: Optional[float] = None,
+        self, horizon: Optional[float], max_events: Optional[int] = None
     ) -> AdvanceReport:
         """Run this shard's own simulator up to ``horizon`` and report back.
 
@@ -391,25 +381,12 @@ class Shard:
         no barriers are needed).  The report carries the epoch's validation
         events and the scheduling facts (pending events, next event time)
         the barrier scheduler folds into the global quiescence and
-        next-barrier decisions.  ``collect_times_after`` (sparse mode) makes
-        the report also carry the timestamps of every executed event past
-        that threshold, so a scheduler that let this shard run ahead can
-        reconstruct the next-event times the shard would have reported at
-        the barriers it skipped.
+        next-barrier decisions.
         """
-        times: Optional[List[float]] = [] if collect_times_after is not None else None
-        threshold = collect_times_after if collect_times_after is not None else 0.0
         if horizon is None:
-            self.simulator.run(
-                max_events=max_events, collect_times=times, collect_after=threshold
-            )
+            self.simulator.run(max_events=max_events)
         else:
-            self.simulator.run_until(
-                horizon,
-                max_events=max_events,
-                collect_times=times,
-                collect_after=threshold,
-            )
+            self.simulator.run_until(horizon, max_events=max_events)
         events = self._validation_events
         self._validation_events = []
         return AdvanceReport(
@@ -419,7 +396,6 @@ class Shard:
             next_event_time=self.simulator.next_event_time,
             processed_events=self.simulator.processed_events,
             now=self.simulator.now,
-            event_times=times if times is not None else [],
         )
 
     def apply_mints(self, time: float, mints: List[Tuple[ProcessId, Transfer]]) -> None:
@@ -610,8 +586,8 @@ class Shard:
         """Capture a resumable mid-run image, or ``None`` if not quiescent.
 
         The capture deep-copies every mutable container, so the returned
-        object stays valid however far this shard runs on (the serial and
-        thread backends keep checkpoints of *live* shards in-process).
+        object stays valid however far this shard runs on (the serial
+        backend keeps checkpoints of *live* shards in-process).
         """
         if self.checkpoint_blockers():
             return None

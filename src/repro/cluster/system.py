@@ -10,7 +10,7 @@ the whole cluster to quiescence and merges per-shard results.
 
 *How* the shards execute is pluggable: the default keeps every shard on one
 shared :class:`Simulator` (the classic mode), while ``backend="serial" |
-"thread" | "process"`` gives each shard its own simulator driven between
+"process"`` gives each shard its own simulator driven between
 epoch-barrier settlement exchanges by an execution backend
 (:mod:`repro.cluster.backends`) — same results, bit for bit, with the
 process pool putting real cores behind the shards.
@@ -91,11 +91,11 @@ class ClusterSystem:
     backend:
         ``None`` (or ``"shared"``) keeps the classic mode: every shard on one
         shared simulator, settlement hops scheduled continuously.  One of
-        ``"serial"``/``"thread"``/``"process"`` switches to the epoch-barrier
+        ``"serial"``/``"process"`` switches to the epoch-barrier
         execution backends (:mod:`repro.cluster.backends`): each shard owns
         its simulator, runs independently up to each settlement barrier, and
         vouchers/certificates are exchanged at the barrier in deterministic
-        ``(time, shard, sequence)`` order.  All three backends produce
+        ``(time, shard, sequence)`` order.  Both backends produce
         bit-identical :class:`ClusterResult` fingerprints.
     epoch:
         Barrier spacing of the backend mode, in simulated seconds (also the
@@ -109,7 +109,7 @@ class ClusterSystem:
         Policies run in the driver from backend-invariant observations, so
         fingerprint equality across backends holds for any policy.
     max_workers:
-        Thread/process pool size for the concurrent backends (defaults to
+        Worker count of the process backend (defaults to
         ``min(shard_count, cpu_count)``).  Worker count never affects
         results, only wall-clock time.  In epoch mode this is also the
         logical worker count of the :class:`PlacementPlan`, so a serial run
@@ -135,25 +135,6 @@ class ClusterSystem:
         so long migratable runs hold bounded memory.  Checkpointing only
         observes state — every cadence fingerprints identically to the
         no-checkpoint run on every backend (the invariance suite pins it).
-    barrier_mode:
-        Barrier pacing of the epoch scheduler (epoch mode only).
-        ``"dense"`` (the default) is the classic global rendezvous: every
-        shard advances to every barrier.  ``"sparse"`` computes, from the
-        deterministic per-pair settlement traffic every backend agrees on,
-        which shards actually have vouchers/certificates/acks to exchange
-        at each barrier — shards with no pending traffic skip the
-        rendezvous and run ahead up to ``max_lag`` barriers, and the
-        driver's exchange work overlaps the run-ahead execution.  Sparse
-        pacing is **fingerprint-identical** to dense (the sparse
-        equivalence suite pins this across backends, epoch policies and
-        mid-run migration); when preconditions fail (zero settlement
-        delays, adversarial relay behaviors, checkpointing, threshold
-        migration, or a paused ``run(until=...)``) the scheduler quietly
-        falls back to dense pacing for correctness.
-    max_lag:
-        Bound, in barriers, on how far a sparse-mode shard may run ahead
-        of the slowest shard (sparse mode only; default 4).  Purely a
-        pacing knob — never affects results.
     compact_history:
         When true, each replica removes a transfer record from its local
         ``hist`` once the record's credit has been *consumed* — folded into
@@ -200,8 +181,6 @@ class ClusterSystem:
         max_workers: Optional[int] = None,
         migration=None,
         checkpoint_every: Optional[int] = None,
-        barrier_mode: str = "dense",
-        max_lag: int = 4,
         compact_history: bool = False,
         telemetry="metrics",
         profile: bool = False,
@@ -218,36 +197,22 @@ class ClusterSystem:
         if self._migration_enabled and (backend in (None, "shared")):
             raise ConfigurationError(
                 "live migration needs an epoch-barrier execution backend "
-                "(serial/thread/process); the shared clock has no placement "
+                "(serial/process); the shared clock has no placement "
                 "to migrate"
             )
         if checkpoint_every is not None and backend in (None, "shared"):
             raise ConfigurationError(
                 "incremental checkpoints need an epoch-barrier execution "
-                "backend (serial/thread/process); the shared clock has no "
+                "backend (serial/process); the shared clock has no "
                 "barriers to checkpoint at"
             )
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1 barrier")
-        if barrier_mode not in ("dense", "sparse"):
-            raise ConfigurationError(
-                f"unknown barrier_mode {barrier_mode!r}; expected 'dense' or 'sparse'"
-            )
-        if barrier_mode == "sparse" and backend in (None, "shared"):
-            raise ConfigurationError(
-                "sparse barriers need an epoch-barrier execution backend "
-                "(serial/thread/process); the shared clock has no barriers "
-                "to skip"
-            )
-        if max_lag < 1:
-            raise ConfigurationError("max_lag must be at least 1 barrier")
         self.shard_count = shard_count
         self.replicas_per_shard = replicas_per_shard
         self.batch_size = batch_size
         self.seed = seed
         self.checkpoint_every = checkpoint_every
-        self.barrier_mode = barrier_mode
-        self.max_lag = max_lag
         self.compact_history = bool(compact_history)
         self.backend_name = backend if backend not in (None, "shared") else "shared"
         self._epoch_mode = self.backend_name != "shared"
@@ -297,7 +262,7 @@ class ClusterSystem:
         # per cluster, shared by the scheduler (which decides moves), the
         # backend (which routes per-epoch commands and executes moves) and
         # rebalance().  Worker slots are logical: the process pool maps them
-        # onto worker processes, serial/thread keep them as bookkeeping, so
+        # onto worker processes, the serial backend keeps them as bookkeeping, so
         # the same migration schedule records identically on every backend.
         self.placement: Optional[PlacementPlan] = None
         if self._epoch_mode:
@@ -313,8 +278,6 @@ class ClusterSystem:
                 metrics=self.metrics,
                 tracer=self.tracer,
                 checkpoint_every=checkpoint_every,
-                barrier_mode=barrier_mode,
-                max_lag=max_lag,
             )
             if self._epoch_mode
             else None
@@ -352,7 +315,7 @@ class ClusterSystem:
 
         Under the epoch backends the arrivals are *pre-partitioned* into
         per-shard routed lists instead of scheduled on a shared clock — the
-        lists travel with the shards into worker threads/processes when the
+        lists travel with the shards into worker processes when the
         run opens the backend session (after which further submissions are
         rejected: the workload must be fully known before the shards start
         executing elsewhere).
@@ -434,7 +397,6 @@ class ClusterSystem:
                         record_history=self._migration_enabled,
                     )
                 self._session_open = True
-                self.scheduler.set_expected_traffic(self._expected_traffic())
             reports = self.scheduler.run(
                 self._backend, self.settlement, until=until, max_events=max_events
             )
@@ -455,30 +417,6 @@ class ClusterSystem:
         # recorded before the telemetry section snapshots them.
         self._capture_telemetry()
         return self._result
-
-    def _expected_traffic(self) -> Dict[Tuple[int, int], int]:
-        """Upper bound on per-pair settlement traffic, from the workload.
-
-        For every routed cross-shard submission ``source -> dest`` the relay
-        pair ``(source, dest)`` can see at most ``replicas_per_shard``
-        vouchers (one per replica validation); rejected transfers never
-        validate, so the count is overcount-safe.  The sparse scheduler uses
-        the matrix to know when a relay pair can still receive new claims —
-        an *observed* count exceeding the expectation trips a loud fallback
-        to dense pacing rather than a silent divergence.
-        """
-        expected: Dict[Tuple[int, int], int] = {}
-        for shard_index, routed in self._partitioned.items():
-            for submission in routed:
-                parsed = parse_external_account(submission.destination)
-                if parsed is None:
-                    continue
-                dest = parsed[0]
-                if dest == shard_index or not 0 <= dest < self.shard_count:
-                    continue
-                key = (shard_index, dest)
-                expected[key] = expected.get(key, 0) + self.replicas_per_shard
-        return expected
 
     def drain(self) -> ClusterResult:
         """Run whatever is pending to quiescence, backend-neutrally.
@@ -570,7 +508,7 @@ class ClusterSystem:
         return self.placement.worker_loads(self.scheduler.current_loads())
 
     def close(self) -> None:
-        """Release backend resources (worker processes / thread pools)."""
+        """Release backend resources (worker processes)."""
         if self._backend is not None:
             self._backend.close()
 
@@ -593,9 +531,6 @@ class ClusterSystem:
         self._result.settlement_stream = self.settlement_signature()
         self._result.retirement_stream = self.retirement_signature()
         self._result.migration_stream = self.migration_signature()
-        self._result.barrier_stream = (
-            self.scheduler.barrier_signature() if self.scheduler is not None else None
-        )
         self._result.retired_records = self.retired_records()
         self._result.resident_settlement_records = self.resident_settlement_records()
         audit = self.supply_audit()

@@ -489,7 +489,7 @@ class ClusterExperimentConfig:
     # like cross_shard_fraction.
     hotspot: Optional[object] = None
     # Execution backend of the swept systems: None for the classic shared
-    # clock, or "serial"/"thread"/"process" for the epoch-barrier backends
+    # clock, or "serial"/"process" for the epoch-barrier backends
     # (see repro.cluster.backends); results are backend-invariant, wall-clock
     # time is not.
     backend: Optional[str] = None
@@ -508,13 +508,6 @@ class ClusterExperimentConfig:
     # fingerprint-neutral by the checkpoint-invariance harness.
     checkpoint_every: Optional[int] = None
     compact_history: bool = False
-    # Barrier pacing of the epoch scheduler: "dense" (the classic global
-    # rendezvous) or "sparse" (dependency-driven skipping with bounded
-    # ``max_lag`` run-ahead and a pipelined exchange).  Fingerprint-neutral
-    # by the sparse-equivalence harness — pacing moves wall-clock stall,
-    # never results.
-    barrier_mode: str = "dense"
-    max_lag: int = 4
     # Observability knobs, passed straight through to ClusterSystem:
     # telemetry mode ("off"/"metrics"/"full") and the cProfile sampler.
     # Fingerprint-neutral by the telemetry invariant — rows only gain a
@@ -623,8 +616,6 @@ def run_cluster(
         # experiment): a drained MigrationPlan must not leak between runs.
         migration=copy.deepcopy(config.migration),
         checkpoint_every=config.checkpoint_every,
-        barrier_mode=config.barrier_mode,
-        max_lag=config.max_lag,
         compact_history=config.compact_history,
         telemetry=config.telemetry,
         profile=config.profile,
@@ -909,8 +900,6 @@ def settlement_soak_experiment(
         # experiment): a drained MigrationPlan must not leak between runs.
         migration=copy.deepcopy(config.migration),
         checkpoint_every=config.checkpoint_every,
-        barrier_mode=config.barrier_mode,
-        max_lag=config.max_lag,
         compact_history=config.compact_history,
         telemetry=config.telemetry,
         profile=config.profile,
@@ -1156,8 +1145,6 @@ def migration_rebalancing_experiment(
             # own copy so the caller's objects survive re-invocation.
             migration=copy.deepcopy(migration),
             checkpoint_every=config.checkpoint_every,
-            barrier_mode=config.barrier_mode,
-            max_lag=config.max_lag,
             compact_history=config.compact_history,
             seed=config.seed,
         )
@@ -1191,7 +1178,7 @@ def migration_rebalancing_experiment(
 def backend_comparison_experiment(
     shard_count: int = 8,
     batch_size: int = 8,
-    backends: Sequence[str] = ("serial", "thread", "process"),
+    backends: Sequence[str] = ("serial", "process"),
     config: Optional[ClusterExperimentConfig] = None,
 ) -> List[BackendComparisonRow]:
     """Run one workload through every execution backend and time it.

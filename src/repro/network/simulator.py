@@ -175,8 +175,6 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        collect_times: Optional[List[float]] = None,
-        collect_after: float = 0.0,
     ) -> float:
         """Run events until the queue drains or a limit is hit.
 
@@ -193,14 +191,6 @@ class Simulator:
             Optional predicate checked after every event; the run stops as
             soon as it returns ``True`` (used to stop when a workload has
             fully committed).
-        collect_times:
-            When given, the timestamp of every executed event strictly after
-            ``collect_after`` is appended to this list (in execution order,
-            hence non-decreasing).  The sparse epoch scheduler uses this to
-            keep an exact view of a run-ahead shard's event schedule — it
-            must know, at a barrier the shard skipped, what the shard *would*
-            have reported as its next event time.  ``None`` (the default)
-            costs nothing.
 
         Returns the virtual time at which the run stopped.
         """
@@ -215,8 +205,6 @@ class Simulator:
                     break
                 self._pop(event)
                 self._now = event.time
-                if collect_times is not None and event.time > collect_after:
-                    collect_times.append(event.time)
                 event.action()
                 self.processed_events += 1
                 executed += 1
@@ -247,13 +235,7 @@ class Simulator:
     # when each simulator will next do something.  ``run`` already supports a
     # horizon; these two entry points make the epoch pattern first-class.
 
-    def run_until(
-        self,
-        time: float,
-        max_events: Optional[int] = None,
-        collect_times: Optional[List[float]] = None,
-        collect_after: float = 0.0,
-    ) -> float:
+    def run_until(self, time: float, max_events: Optional[int] = None) -> float:
         """Run every event scheduled at or before ``time``; idempotent.
 
         Unlike :meth:`run`, a horizon in the past (or at the current time with
@@ -265,12 +247,7 @@ class Simulator:
         """
         if time < self._now:
             return self._now
-        return self.run(
-            until=time,
-            max_events=max_events,
-            collect_times=collect_times,
-            collect_after=collect_after,
-        )
+        return self.run(until=time, max_events=max_events)
 
     @property
     def next_event_time(self) -> Optional[float]:

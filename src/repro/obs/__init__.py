@@ -2,7 +2,7 @@
 
 The layer every perf and robustness claim in this repository leans on: a
 mergeable :class:`MetricsRegistry` recorded by shards wherever they execute
-(driver, pool thread, worker process), a span :class:`Tracer` over the
+(driver or worker process), a span :class:`Tracer` over the
 cluster's hot phases with a Chrome ``trace_event`` exporter, and cProfile
 plumbing that samples per worker and merges driver-side.
 

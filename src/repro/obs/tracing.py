@@ -63,9 +63,9 @@ class TraceSpan:
 class Tracer:
     """Collects spans; ``span()`` wraps a phase with both clocks.
 
-    Appending is the only mutation, so concurrent use from pool threads
-    (the thread backend advances shards concurrently) is safe under the
-    GIL and ordering never matters — the exporter sorts by start time.
+    Appending is the only mutation, so concurrent use from threads is safe
+    under the GIL and ordering never matters — the exporter sorts by start
+    time.
     """
 
     __slots__ = ("spans", "origin")

@@ -6,7 +6,7 @@ silently change protocol behaviour: for any configuration, the
 replica's per-account balances, the committed and settlement streams with
 their completion times, the supply-audit verdicts and the event/message
 counts — must be **byte-for-byte identical** across
-``SerialBackend`` / ``ThreadBackend`` / ``ProcessPoolBackend``.  This module
+``SerialBackend`` / ``ProcessPoolBackend``.  This module
 asserts exactly that, over a seed × shards × batch × cross-shard-fraction
 grid, via :meth:`ClusterResult.fingerprint` (canonical JSON + SHA-256) *and*
 field-level payload equality (so a fingerprint regression pinpoints the
@@ -20,13 +20,17 @@ boundary, and the worker loop itself (driven in-process through a scripted
 pipe, so the subprocess code path is unit-tested and covered).
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 
 import pytest
 
 from repro.cluster import codec as pipe_codec
 from repro.cluster import ClusterSystem, ShardSpec
-from repro.cluster.backends import BACKEND_NAMES, _worker_main, make_backend
+from repro.cluster.backends import BACKEND_NAMES, WorkerLost, _worker_main, make_backend
 from repro.cluster.settlement import (
     SettlementCertificate,
     SettlementClaim,
@@ -42,7 +46,7 @@ from repro.workloads.cluster_driver import (
 )
 
 # The equivalence grid: 2 seeds x 2 shard counts x 2 batch sizes x 2
-# cross-shard mixes = 16 configurations, each run on all three backends.
+# cross-shard mixes = 16 configurations, each run on both backends.
 SEEDS = (3, 11)
 SHARD_COUNTS = (2, 3)
 BATCH_SIZES = (1, 4)
@@ -95,7 +99,7 @@ def _run(
 
 
 class TestBackendEquivalence:
-    """Serial / Thread / Process produce byte-identical ClusterResults."""
+    """Serial / Process produce byte-identical ClusterResults."""
 
     @pytest.mark.parametrize("seed,shards,batch,fraction", GRID)
     def test_fingerprints_identical_across_backends(
@@ -117,10 +121,9 @@ class TestBackendEquivalence:
             finally:
                 system.close()
         # Field-level equality first, so a regression names the field...
-        assert payloads["serial"] == payloads["thread"]
         assert payloads["serial"] == payloads["process"]
         # ... and the canonical-byte equality the guarantee is stated in.
-        assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"]
+        assert fingerprints["serial"] == fingerprints["process"]
 
     def test_settlement_actually_exercised_by_the_grid(self, fast_network):
         """The equivalence grid must not vacuously pass on settlement-free
@@ -142,7 +145,7 @@ class TestBackendEquivalence:
     ):
         """The acceptance configuration: an AdaptiveEpochPolicy grid with the
         compaction lifecycle active, fingerprint-identical (retirement
-        counters included) across all three backends."""
+        counters included) across both backends."""
         from repro.cluster import AdaptiveEpochPolicy
 
         def policy():
@@ -171,9 +174,8 @@ class TestBackendEquivalence:
                 assert report.ok, (backend, report.violations)
             finally:
                 system.close()
-        assert payloads["serial"] == payloads["thread"]
         assert payloads["serial"] == payloads["process"]
-        assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"]
+        assert fingerprints["serial"] == fingerprints["process"]
 
     def test_two_worker_process_pool_matches_serial(self, fast_network):
         """Worker assignment affects only where a shard's deterministic event
@@ -442,6 +444,104 @@ class TestWorkerLoop:
         _worker_main(pipe, [spec], submissions)
         assert pipe.responses == []
         assert pipe.closed
+
+    def test_a_driver_that_hung_up_ends_the_loop(self, fast_network):
+        spec, submissions = self._spec_and_submissions(fast_network)
+        pipe = _ScriptedPipe([("snapshot",), ("snapshot",)])
+
+        def hung_up(payload):
+            raise BrokenPipeError
+
+        pipe.send_bytes = hung_up
+        _worker_main(pipe, [spec], submissions)
+        assert pipe.closed
+        assert len(pipe._commands) == 1  # the second command was never read
+
+
+def _paused_process_session(fast_network):
+    """A two-worker process-pool session paused mid-run, with its workers."""
+    system = ClusterSystem(
+        shard_count=3,
+        replicas_per_shard=4,
+        initial_balance=500,
+        network_config=fast_network,
+        backend="process",
+        max_workers=2,
+        seed=11,
+    )
+    workload = cluster_open_loop_workload(
+        ClusterWorkloadConfig(
+            user_count=60,
+            aggregate_rate=1_500.0,
+            duration=0.02,
+            cross_shard_fraction=1.0,
+            router=system.router,
+            seed=11,
+        )
+    )
+    system.schedule_submissions(workload)
+    before = set(multiprocessing.active_children())
+    system.run(until=0.01)
+    workers = [p for p in multiprocessing.active_children() if p not in before]
+    return system, workers
+
+
+def _kill(workers, slot):
+    (victim,) = [p for p in workers if p.name == f"shard-worker-{slot}"]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=5.0)
+    assert not victim.is_alive()
+    return victim
+
+
+class TestWorkerLost:
+    def test_a_killed_worker_is_named_and_the_session_still_closes(self, fast_network):
+        system, workers = _paused_process_session(fast_network)
+        paused_at = system.scheduler.now
+        victim = _kill(workers, 1)
+        with pytest.raises(WorkerLost) as caught:
+            system.run()
+        lost = caught.value
+        assert lost.slot == 1
+        assert lost.pid == victim.pid
+        assert lost.exitcode == -signal.SIGKILL
+        assert lost.shards == system.placement.shards_on(1) == [1]
+        assert lost.horizon == paused_at
+        assert f"pid {victim.pid}" in str(lost)
+        started = time.perf_counter()
+        system.close()
+        assert time.perf_counter() - started < 5.0
+        assert len(workers) == 2
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_a_lost_session_stays_lost(self, fast_network):
+        system, workers = _paused_process_session(fast_network)
+        _kill(workers, 1)
+        try:
+            for _ in range(2):
+                # No recovery: every later drive names the same worker
+                # instead of hanging on the dead pipe.
+                with pytest.raises(WorkerLost) as caught:
+                    system.run()
+                assert caught.value.slot == 1
+        finally:
+            system.close()
+            system.close()  # idempotent after a loss
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_worker_lost_is_a_named_simulation_error(self):
+        from repro import cluster
+        from repro.common.errors import SimulationError
+
+        lost = WorkerLost(1, 4242, -9, (1, 2), 0.01)
+        assert cluster.WorkerLost is WorkerLost
+        assert isinstance(lost, SimulationError)
+        assert (lost.slot, lost.pid, lost.exitcode, lost.shards, lost.horizon) == (
+            1, 4242, -9, [1, 2], 0.01,
+        )
+        message = str(lost)
+        for part in ("shard worker 1", "pid 4242", "exit code -9", "[1, 2]", "horizon 0.01"):
+            assert part in message
 
 
 class TestPartitionedDriver:

@@ -9,7 +9,7 @@ per-shard Definition 1 plus the cross-ledger supply identity — stay clean.
 
 The whole suite is parametrized over the execution backends: every fault
 scenario runs on the classic shared clock *and* under
-Serial/Thread/ProcessPool epoch execution, so fault containment is exercised
+Serial/ProcessPool epoch execution, so fault containment is exercised
 under real parallelism, not just serially.  The relay, inbox and voucher
 behaviours live in the driver process on every backend (that is the
 backends' design: the trust boundary is poked identically everywhere), while
@@ -33,10 +33,10 @@ from repro.cluster.settlement import (
 from repro.crypto.signatures import SignatureScheme
 from repro.workloads.cluster_driver import ClusterSubmission
 
-BACKENDS = [None, "serial", "thread", "process"]
+BACKENDS = [None, "serial", "process"]
 
 
-@pytest.fixture(params=BACKENDS, ids=["shared", "serial", "thread", "process"])
+@pytest.fixture(params=BACKENDS, ids=["shared", "serial", "process"])
 def make_system(request, fast_network):
     """A factory for 2-shard systems on the parametrized backend.
 

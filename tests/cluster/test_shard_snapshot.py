@@ -9,7 +9,7 @@ pause barrier (not just quiescence), restored onto a never-run twin built
 from the same spec, reproduces every read surface — balances, observations,
 result streams, broadcast counters, resident/retired settlement records and
 the mid-flight compaction state (offsets, retired-outbound totals, *pending
-retirements*) — byte for byte, on Serial, Thread and Process alike.
+retirements*) — byte for byte, on Serial and Process alike.
 """
 
 import pickle
@@ -24,7 +24,7 @@ from repro.workloads.cluster_driver import (
     cluster_open_loop_workload,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 # Pause points chosen mid-workload: settlement traffic is in flight at most
 # of them (the workload runs to ~0.02 plus settlement tails).
 PAUSES = (0.006, 0.011, 0.016, 0.021)

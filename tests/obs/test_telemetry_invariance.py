@@ -2,7 +2,7 @@
 
 The observability layer's one hard promise: **telemetry never perturbs
 results**.  For every execution backend — the classic shared clock and the
-serial/thread/process epoch backends — a run fingerprints identically with
+serial/process epoch backends — a run fingerprints identically with
 telemetry off, metrics-only and full tracing; profiled and *migrated* runs
 included.  Everything else here pins the supporting surface: the telemetry
 section's shape and its exclusion from the fingerprint, trace export, the
@@ -16,7 +16,7 @@ from repro.common.errors import ConfigurationError
 from repro.obs import TELEMETRY_MODES, normalize_telemetry, validate_trace_file
 from repro.workloads.cluster_driver import ClusterWorkloadConfig, cluster_open_loop_workload
 
-BACKENDS = (None, "serial", "thread", "process")
+BACKENDS = (None, "serial", "process")
 
 
 def _run(
