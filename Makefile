@@ -29,7 +29,7 @@ test-backends:
 test-migration:
 	$(PYTHON) -m pytest tests/cluster/test_migration.py tests/cluster/test_shard_snapshot.py -q
 
-## The incremental-checkpoint suite alone: delta codec units, checkpoint/
+## The incremental-checkpoint suite alone: structural delta units, checkpoint/
 ## restore round trips, delta-stream folding on every backend, fingerprint
 ## invariance across cadences (compaction and checkpointed migration
 ## included), the replay-log/retirement bounded-growth regressions.
@@ -41,7 +41,7 @@ bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_BACKEND=$(BACKEND) $(PYTHON) -m pytest benchmarks/bench_cluster_scaling.py -q
 
 ## The per-core engine microbenchmarks (verification cache, calendar event
-## queue, pipe codec) in smoke mode: measures each rewritten hot-path layer
+## queue, quorum verification) in smoke mode: measures each rewritten layer
 ## against its replaced implementation and records the >=5x speedup gate —
 ## explicitly passed/failed/skipped, never silent — under core_rows.
 bench-core:

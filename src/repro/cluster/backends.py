@@ -40,18 +40,16 @@ freedom the set-constrained-delivery view of broadcast-level abstractions
 (Imbs et al., arXiv:1706.05267) predicts: the only cross-shard obligation is
 reliable, source-ordered certificate delivery, and that batches freely.
 
-**Pipe wire format.**  Driver and workers frame every command and reply with
-the compact binary codec of :mod:`repro.cluster.codec` instead of pickle:
-one tag byte per value, varints for integers and lengths, 8-byte IEEE-754
-doubles, length-prefixed UTF-8 strings, containers encoded recursively in
-iteration order, and a fixed append-only registry of the dataclasses the
-protocol actually ships (``ShardSpec``, ``ShardSnapshot`` and its node
-snapshots, ``AdvanceReport``/``ValidationEvent``, the settlement claim /
-voucher / certificate / ack family, transfers and routed submissions)
-encoded as ``tag + field values in declaration order`` — no class paths or
-field names on the wire.  Values outside the registry (profiler stats,
-telemetry snapshots) escape to an embedded pickle blob.  Commands are the
-tuples ``("advance", horizon, max_events)``,
+**Pipe wire format.**  Driver and workers are forks of one program joined by
+a local pipe, so every command and reply is framed with pickle protocol 5
+(:func:`codec_encode` / :func:`codec_decode`, the only place the format is
+named).  Byte counts — ``snapshot_bytes`` per migration and the checkpoint
+delta/full bytes, on every backend — come from :func:`encoded_size`, the
+length of :func:`value_bytes`: the same pickle with the memo off, so the
+figure depends on the value alone, never on which objects it happens to
+share (the pipe's own frames do share, which makes them several times
+smaller and faster).
+Commands are the tuples ``("advance", horizon, max_events)``,
 ``("mint"|"retire", time, per_shard)``, ``("evict", indices)``,
 ``("adopt", arrivals)``, ``("checkpoint",)``, ``("snapshot",)``,
 ``("profile",)`` and ``("stop",)``;
@@ -60,20 +58,7 @@ replies are ``("ok", payload)`` or ``("error", traceback_text)``.
 :class:`~repro.cluster.checkpoint.CheckpointDelta` against the worker's
 previous baseline (``None`` for shards not protocol-quiescent this round),
 and an ``adopt`` arrival carries an optional checkpoint so the adopting
-worker restores it and replays only the post-checkpoint tail.  The same encoding
-measures ``snapshot_bytes`` for migration stall accounting, on every
-backend, so the bytes-per-move column now reports compact-codec payloads.
-
-**Envelope wire format.**  The broadcast envelopes themselves — ``SEND`` /
-``ECHO`` / ``READY``, the echo-broadcast ``EchoSignatureMessage`` /
-``FinalMessage``, the account-order ``AccountTaggedPayload`` wrapper and the
-``BroadcastDelivery`` record — are registered in the same codec table, so a
-per-hop message costs one tag byte plus its field values in declaration
-order (``channel``, ``origin``, ``sequence``, ``payload``, then any
-variant-specific fields) rather than a pickle class path and field-name
-dictionary.  The classes carry ``__slots__`` in memory for the same reason
-they are tuple-encoded on the wire: the ~36-messages-per-commit fan-out
-allocates no per-message ``__dict__`` and ships no per-message field names.
+worker restores it and replays only the post-checkpoint tail.
 
 **Barrier fan-out.**  Commands addressed to *every* worker with identical
 bytes — ``advance`` each epoch, ``checkpoint``, ``snapshot``, ``profile``
@@ -87,11 +72,13 @@ from __future__ import annotations
 
 import abc
 import cProfile
+import io
 import itertools
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import time as _time
 import traceback
 import weakref
@@ -120,9 +107,6 @@ from repro.cluster.checkpoint import (
     fold_checkpoint,
     replayable_suffix,
 )
-from repro.cluster.codec import decode as codec_decode
-from repro.cluster.codec import encode as codec_encode
-from repro.cluster.codec import encoded_size
 from repro.cluster.shard import (
     AdvanceReport,
     Shard,
@@ -141,6 +125,32 @@ BACKEND_NAMES = ("serial", "process")
 # What a driver-side pipe operation raises once the worker at the other end
 # has died: EOF on a read, a broken or reset socket on a write.
 _PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError)
+
+
+def codec_encode(value: Any) -> bytes:
+    """Frame ``value`` for the worker pipe (see "Pipe wire format" above)."""
+    return pickle.dumps(value, protocol=5)
+
+
+def codec_decode(data: bytes) -> Any:
+    """The value one :func:`codec_encode` frame carries."""
+    return pickle.loads(data)
+
+
+def value_bytes(value: Any) -> bytes:
+    """``value`` pickled without the memo: equal values (with equal container
+    order) give equal bytes, however their objects are shared."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=5)
+    pickler.fast = True
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+def encoded_size(value: Any) -> int:
+    """Byte length of ``value`` as :func:`value_bytes` (the migration-stall
+    and checkpoint-bytes gauge)."""
+    return len(value_bytes(value))
 
 
 class WorkerLost(SimulationError):
@@ -583,7 +593,7 @@ class SerialBackend(ExecutionBackend):
         and records the same deterministic signature the process pool would,
         so the equivalence harness can compare recorded migration streams
         across both backends.  ``snapshot_bytes`` is measured the same
-        way (the codec-encoded
+        way (the :func:`encoded_size` of the
         :meth:`~repro.cluster.shard.ShardSnapshot.state_view` — protocol
         state only, telemetry stripped, so the figure does not depend on
         which counters happened to be enabled), making the benchmark's
@@ -761,8 +771,8 @@ def _worker_main(
     arrivals, then alternate ``advance`` / ``mint`` commands until asked for
     the final ``snapshot``.  ``evict`` detaches a migrating shard (returning
     its snapshot), ``adopt`` rehydrates one by deterministic replay.  Every
-    payload crossing the pipe is framed by the compact codec (see the module
-    docstring); exceptions travel back as formatted tracebacks.
+    payload crossing the pipe is framed by :func:`codec_encode` (see the
+    module docstring); exceptions travel back as formatted tracebacks.
 
     With ``profile`` the whole worker lifetime (shard build included) runs
     under a :mod:`cProfile` sampler; the ``profile`` command stops it and
@@ -902,8 +912,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._checkpoint_stats: Dict[str, int] = {
             "taken": 0, "skipped": 0, "delta_bytes": 0, "full_bytes": 0
         }
-        # The last horizon broadcast to the workers, reported by WorkerLost.
+        # The last horizon broadcast to the workers (named by WorkerLost and
+        # by a failed command's error) and the last command sent to each
+        # worker (named by the latter).
         self._horizon: Optional[float] = None
+        self._commands: Dict[int, str] = {}
         self._finalizer = None
 
     def open(
@@ -958,13 +971,14 @@ class ProcessPoolBackend(ExecutionBackend):
         connection = self._workers[slot][1]
         try:
             if self.tracer is not None:
-                # Pipe send: the bytes are already codec-framed.
+                # Pipe send: the bytes are already framed.
                 with self.tracer.span("pipe.send", cat="pipe", tid=1 + slot, command=command):
                     connection.send_bytes(data)
             else:
                 connection.send_bytes(data)
         except _PIPE_ERRORS as exc:
             raise self._worker_lost(slot) from exc
+        self._commands[slot] = command
         if self.metrics is not None:
             self.metrics.inc("pipe.commands")
             self.metrics.inc(f"pipe.{command}")
@@ -997,7 +1011,12 @@ class ProcessPoolBackend(ExecutionBackend):
         except _PIPE_ERRORS as exc:
             raise self._worker_lost(slot) from exc
         if status != "ok":
-            raise SimulationError(f"shard worker {slot} failed:\n{payload}")
+            raise SimulationError(
+                f"shard worker {slot} (pid {self._workers[slot][0].pid}) failed running "
+                f"{self._commands.get(slot)!r}; resident shards "
+                f"{self._placement.shards_on(slot)}, last commanded horizon "
+                f"{self._horizon}:\n{payload}"
+            )
         return payload
 
     def _worker_lost(self, slot: int) -> WorkerLost:

@@ -18,9 +18,9 @@ structural diff here exploits exactly that:
 corner — a dict key deleted and re-added between checkpoints sits at the end
 of the live dict but keeps its old position under fold — but folding is
 deterministic (independent folds of the same stream are byte-identical under
-:func:`repro.cluster.codec.encode`) and every diff compares by equality, so
-a fold-reconstructed baseline accepts exactly the same delta chain as the
-live original.  The delta stream is a pure transport/measurement
+:func:`repro.cluster.backends.value_bytes`) and every diff compares by
+equality, so a fold-reconstructed baseline accepts exactly the same delta
+chain as the live original.  The delta stream is a pure transport/measurement
 optimisation: checkpoints fold to equal state whether shipped full or
 incrementally, so nothing downstream of a fold can tell the difference —
 the fingerprint-invariance harness pins that.

@@ -28,9 +28,15 @@ import time
 
 import pytest
 
-from repro.cluster import codec as pipe_codec
 from repro.cluster import ClusterSystem, ShardSpec
-from repro.cluster.backends import BACKEND_NAMES, WorkerLost, _worker_main, make_backend
+from repro.cluster.backends import (
+    BACKEND_NAMES,
+    WorkerLost,
+    _worker_main,
+    codec_decode,
+    codec_encode,
+    make_backend,
+)
 from repro.cluster.settlement import (
     SettlementCertificate,
     SettlementClaim,
@@ -376,12 +382,12 @@ class _ScriptedPipe:
     def recv_bytes(self):
         if not self._commands:
             raise EOFError
-        # The real pipe carries codec frames; scripted commands round-trip
-        # through the same encoder the driver uses.
-        return pipe_codec.encode(self._commands.pop(0))
+        # Scripted commands round-trip through the same framing the
+        # driver uses on the real pipe.
+        return codec_encode(self._commands.pop(0))
 
     def send_bytes(self, payload):
-        self.responses.append(pipe_codec.decode(payload))
+        self.responses.append(codec_decode(payload))
 
     def close(self):
         self.closed = True
@@ -528,6 +534,32 @@ class TestWorkerLost:
             system.close()
             system.close()  # idempotent after a loss
         assert not any(worker.is_alive() for worker in workers)
+
+    def test_a_failed_worker_command_names_the_worker(self, fast_network):
+        from repro.common.errors import SimulationError
+        from repro.common.types import Transfer
+
+        system, workers = _paused_process_session(fast_network)
+        paused_at = system.scheduler.now
+        (worker,) = [p for p in workers if p.name == "shard-worker-1"]
+        credit = Transfer("x0:1", "x1:0", 3, issuer=0, sequence=1)
+        try:
+            with pytest.raises(SimulationError) as caught:
+                # Shard 1 has no replica 99, so the worker's mint raises.
+                system._backend.apply_mints(paused_at, {1: [(99, credit)]})
+        finally:
+            system.close()
+        assert not isinstance(caught.value, WorkerLost)
+        message = str(caught.value)
+        for part in (
+            "shard worker 1",
+            f"pid {worker.pid}",
+            "running 'mint'",
+            "resident shards [1]",
+            f"last commanded horizon {paused_at}",
+            "KeyError: 99",
+        ):
+            assert part in message
 
     def test_worker_lost_is_a_named_simulation_error(self):
         from repro import cluster

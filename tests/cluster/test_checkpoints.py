@@ -1,8 +1,8 @@
 """Incremental checkpoints: the O(delta) migration seam, pinned.
 
-Three layers of contract.  At the bottom, the structural delta codec:
+Three layers of contract.  At the bottom, the structural delta pair:
 ``fold_value(old, diff_value(old, new))`` must reproduce ``new``
-byte-identically under the pipe codec, append-only lists must ship only
+byte-identically under the pipe's value-determined encoding, append-only lists must ship only
 their suffix, and corrupt chains must be refused rather than folded.  In
 the middle, the checkpoint itself: a ``ShardCheckpoint`` taken at an
 arbitrary quiescent barrier, restored onto a never-run twin, reproduces
@@ -25,7 +25,13 @@ genuinely non-empty tail on top of a genuinely mid-run checkpoint.
 
 import pytest
 
-from repro.cluster import ClusterSystem, codec
+from repro.cluster import ClusterSystem
+from repro.cluster.backends import (
+    codec_decode,
+    codec_encode,
+    encoded_size,
+    value_bytes,
+)
 from repro.cluster.checkpoint import (
     CheckpointDelta,
     checkpoint_delta,
@@ -107,7 +113,7 @@ def _reference_fingerprint(fast_network):
 
 
 class TestDeltaCodec:
-    """The structural diff/fold pair under the wire codec."""
+    """The structural diff/fold pair under the pipe encoding."""
 
     def test_equal_values_produce_no_delta(self):
         for value, twin in (
@@ -154,7 +160,7 @@ class TestDeltaCodec:
         assert fold_value(old, delta) == new
 
     def test_fold_is_byte_identical_under_the_codec(self):
-        """The codec encodes containers in insertion order; fold preserves
+        """The pipe encodes containers in iteration order; fold preserves
         it, so a folded value is indistinguishable on the wire."""
         old = {
             "log": [("a", 1), ("b", 2)],
@@ -168,7 +174,7 @@ class TestDeltaCodec:
             "watermark": 7,
         }
         folded = fold_value(old, diff_value(old, new))
-        assert codec.encode(folded) == codec.encode(new)
+        assert value_bytes(folded) == value_bytes(new)
 
     def test_unknown_delta_tag_is_refused(self):
         with pytest.raises(SimulationError):
@@ -204,7 +210,7 @@ class TestCheckpointDeltaChain:
         delta = checkpoint_delta(None, first)
         assert delta.base_sequence == -1
         folded = fold_checkpoint(None, delta)
-        assert codec.encode(folded) == codec.encode(first)
+        assert value_bytes(folded) == value_bytes(first)
 
     def test_incremental_delta_folds_back_to_the_checkpoint(self, fast_network):
         first, second = self._two_checkpoints(fast_network)
@@ -215,11 +221,11 @@ class TestCheckpointDeltaChain:
         # Folding is deterministic: two independent folds of the same delta
         # are byte-identical on the wire (the process driver relies on this
         # — its baselines *are* folds, compared across checkpoint rounds).
-        assert codec.encode(folded) == codec.encode(fold_checkpoint(first, delta))
+        assert value_bytes(folded) == value_bytes(fold_checkpoint(first, delta))
         # The increment is the transport win: smaller than the checkpoint.
-        assert codec.encoded_size(delta) < codec.encoded_size(second)
+        assert encoded_size(delta) < encoded_size(second)
         # And it survives the pipe intact.
-        assert codec.decode(codec.encode(delta)) == delta
+        assert codec_decode(codec_encode(delta)) == delta
 
     def test_folding_onto_the_wrong_base_is_refused(self, fast_network):
         first, second = self._two_checkpoints(fast_network)
@@ -259,7 +265,7 @@ class TestShardCheckpointRoundTrip:
                 twin.start()
                 scheduled = twin.restore_checkpoint(taken, [])
                 assert scheduled == 0  # no arrivals strictly after the gap barrier... yet
-                assert codec.encode(twin.snapshot(include_metrics=False)) == codec.encode(
+                assert value_bytes(twin.snapshot(include_metrics=False)) == value_bytes(
                     taken.state
                 )
                 for pid in shard.nodes:
@@ -267,8 +273,8 @@ class TestShardCheckpointRoundTrip:
                         twin.nodes[pid].all_known_balances()
                         == shard.nodes[pid].all_known_balances()
                     )
-                # Everything the pipe ships round-trips through the codec.
-                assert codec.decode(codec.encode(taken)) == taken
+                # Everything the pipe ships round-trips through its framing.
+                assert codec_decode(codec_encode(taken)) == taken
         finally:
             system.close()
 
@@ -327,7 +333,7 @@ class TestCheckpointStreamFolding:
                 for index in sorted(deltas):
                     delta = deltas[index]
                     # Pipe round-trip, then two independent folds.
-                    assert codec.decode(codec.encode(delta)) == delta
+                    assert codec_decode(codec_encode(delta)) == delta
                     saw_incremental = saw_incremental or delta.base_sequence != -1
                     folded[index] = fold_checkpoint(folded.get(index), delta)
                     refolded[index] = fold_checkpoint(refolded.get(index), delta)
@@ -341,7 +347,7 @@ class TestCheckpointStreamFolding:
                 # live deep copies whose dict insertion order may differ) and
                 # folding itself is deterministic to the byte.
                 assert checkpoint == baselines[index]
-                assert codec.encode(checkpoint) == codec.encode(refolded[index])
+                assert value_bytes(checkpoint) == value_bytes(refolded[index])
             stats = system._backend.checkpoint_stats()
             assert stats["taken"] >= len(folded)
             assert 0 < stats["delta_bytes"] < stats["full_bytes"]

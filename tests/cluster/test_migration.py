@@ -23,9 +23,14 @@ import pickle
 
 import pytest
 
-from repro.cluster import codec as pipe_codec
 from repro.cluster import ClusterSystem, ShardSpec
-from repro.cluster.backends import BACKEND_NAMES, _replay_shard, _worker_main
+from repro.cluster.backends import (
+    BACKEND_NAMES,
+    _replay_shard,
+    _worker_main,
+    codec_decode,
+    codec_encode,
+)
 from repro.cluster.migration import (
     MigrationPlan,
     MigrationRecord,
@@ -475,12 +480,12 @@ class _ScriptedPipe:
     def recv_bytes(self):
         if not self._commands:
             raise EOFError
-        # The real pipe carries codec frames; scripted commands round-trip
-        # through the same encoder the driver uses.
-        return pipe_codec.encode(self._commands.pop(0))
+        # Scripted commands round-trip through the same framing the
+        # driver uses on the real pipe.
+        return codec_encode(self._commands.pop(0))
 
     def send_bytes(self, payload):
-        self.responses.append(pipe_codec.decode(payload))
+        self.responses.append(codec_decode(payload))
 
     def close(self):
         self.closed = True
